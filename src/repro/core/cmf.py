@@ -29,6 +29,10 @@ only when the scaling factor ``l_s`` itself changes. Its contract with
 :func:`build_cmf` is exact: the mass vector, the ``None``/exhausted
 condition and the materialized prefix sums are identical
 (``tests/core/test_cmf_incremental.py`` proves this property-style).
+The transfer stage samples only through :class:`IncrementalCMF`;
+:func:`build_cmf`/:func:`sample_cmf` are the literal l.21-31
+definition, which the Algorithm 2 oracle in ``tests/oracles.py``
+rebuilds after every accepted transfer.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from repro.util.validation import check_in
 __all__ = [
     "CMF_ORIGINAL",
     "CMF_MODIFIED",
-    "CMF_UPDATE_INCREMENTAL",
-    "CMF_UPDATE_REBUILD",
-    "CMF_UPDATES",
     "IncrementalCMF",
     "build_cmf",
     "sample_cmf",
@@ -50,13 +51,6 @@ __all__ = [
 
 CMF_ORIGINAL = "original"
 CMF_MODIFIED = "modified"
-
-#: CMF maintenance strategies for the transfer stage's recomputation
-#: (Alg. 2 l.7): ``incremental`` is the O(log n) fast path, ``rebuild``
-#: the pre-optimization full :func:`build_cmf` per accepted transfer.
-CMF_UPDATE_INCREMENTAL = "incremental"
-CMF_UPDATE_REBUILD = "rebuild"
-CMF_UPDATES = (CMF_UPDATE_INCREMENTAL, CMF_UPDATE_REBUILD)
 
 
 def build_cmf(

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._kernels import get_gossip_kernels, warn_numba_missing
 from repro.core.knowledge import KnowledgeBitmap, PackedKnowledgeBitmap, SparseKnowledge
 from repro.obs import StatsRegistry
 from repro.sim.faults import FaultConfig, PhaseFaultModel
@@ -56,7 +55,6 @@ __all__ = [
     "GossipResult",
     "GossipExplosionError",
     "run_inform_stage",
-    "resolve_auto_threshold",
     "SPARSE_AUTO_MIN_RANKS",
     "SPARSE_AUTO_MIN_RANKS_FAST",
 ]
@@ -83,45 +81,23 @@ class GossipExplosionError(RuntimeError):
 
 #: Rank count at which ``knowledge="auto"`` switches the batched engine
 #: from the packed bitmap (O(P^2) bits — 128 MiB at 2^15, 2 GiB at
-#: 2^17) to sparse per-rank id shards (O(cap * P) bytes), when the
-#: sparse side runs the *reference* driver (``kernel="python"``).
-#: Below the threshold the bit matrix is small enough that packed's
-#: vectorized row-OR dominates (measured: ~2.7x over reference sparse
-#: at 4k ranks); at 2^15 and beyond the matrix gathers outweigh the
-#: shard merges (reference sparse ~1.8x faster at 32k over a full
-#: 10-round episode, and the only backend that fits a sane budget at
-#: 2^17, where packed would need a 2 GiB matrix plus a same-sized row
-#: gather per round). Sparse only pays off once knowledge is capped,
-#: so auto additionally requires ``max_known``.
-SPARSE_AUTO_MIN_RANKS = 32_768
-
-#: The same crossover under the fused sparse driver (``kernel="auto"``
-#: / ``"numba"``): priority-space shards, completeness skips and shard
-#: interning collapse the converged rounds to near nothing, which
-#: moves the measured packed/sparse crossover (fanout 6, 10 rounds,
-#: cap 512, "lowest" trim, 1 CPU) down to the 8k rung — packed/fused
-#: wall ratio 0.71x at 4096 ranks, 1.02x at 8192, 1.53x at 16384,
-#: 3.55x at 32768. Auto therefore switches at 8192 ranks when the
-#: fused driver is selected.
+#: 2^17) to sparse per-rank id shards (O(cap * P) bytes). The fused
+#: sparse driver's priority-space shards, completeness skips and shard
+#: interning collapse the converged rounds to near nothing, which puts
+#: the measured packed/sparse crossover (fanout 6, 10 rounds, cap 512,
+#: "lowest" trim, 1 CPU) at the 8k rung — packed/fused wall ratio 0.71x
+#: at 4096 ranks, 1.02x at 8192, 1.53x at 16384, 3.55x at 32768. Sparse
+#: only pays off once knowledge is capped, so auto additionally
+#: requires ``max_known``.
 SPARSE_AUTO_MIN_RANKS_FAST = 8_192
 
-
-def resolve_auto_threshold(kernel: str) -> int:
-    """The ``knowledge="auto"`` packed→sparse crossover rank count.
-
-    Single source of truth for every driver that auto-selects a
-    backend: the fused sparse driver (``kernel="auto"``/``"numba"``)
-    crosses over at :data:`SPARSE_AUTO_MIN_RANKS_FAST`; the per-receiver
-    Python reference (``kernel="python"`` — and the event-level
-    :class:`repro.runtime.distributed_gossip.DistributedGossip`, whose
-    scalar merge path has reference-driver economics) at
-    :data:`SPARSE_AUTO_MIN_RANKS`.
-    """
-    return (
-        SPARSE_AUTO_MIN_RANKS
-        if kernel == "python"
-        else SPARSE_AUTO_MIN_RANKS_FAST
-    )
+#: The same crossover for a driver that merges shard by shard in scalar
+#: Python — the event-level
+#: :class:`repro.runtime.distributed_gossip.DistributedGossip`, which
+#: merges per received message: there packed's vectorized row-OR wins
+#: until 2^15 ranks (a per-receiver sparse driver measured ~2.7x slower
+#: than packed at 4k and ~1.8x faster at 32k over a 10-round episode).
+SPARSE_AUTO_MIN_RANKS = 32_768
 
 
 @dataclass(frozen=True)
@@ -164,21 +140,11 @@ class GossipConfig:
     #: Knowledge backend for the batched engine: "packed" (the dense
     #: bit matrix, O(P^2) bits), "sparse" (per-rank sorted id shards,
     #: O(sum |S^p|) — the high-rank-count backend, bit-identical to
-    #: packed), or "auto" (sparse once the rank count crosses the
-    #: kernel-dependent threshold *and* ``max_known`` caps the shards;
-    #: packed otherwise). The loop engine always uses the boolean
-    #: reference bitmap.
+    #: packed), or "auto" (sparse once the rank count reaches
+    #: :data:`SPARSE_AUTO_MIN_RANKS_FAST` *and* ``max_known`` caps the
+    #: shards; packed otherwise). The loop engine always uses the
+    #: boolean reference bitmap.
     knowledge: str = "auto"
-    #: Sparse-backend driver: "auto" (the fused driver — shard
-    #: interning, equality-skipped merges, jitted scalar kernels where
-    #: numba is installed, vectorized NumPy fallbacks where not),
-    #: "numba" (the fused driver too, but warns once when numba is
-    #: missing — use it to *assert* the compiled build), or "python"
-    #: (the per-receiver reference driver, kept as the behavioural
-    #: oracle). All three are bit-identical — same targets, same
-    #: knowledge, same RNG stream. Packed/dense backends ignore this
-    #: knob; their round loop is already fully vectorized.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         check_positive("fanout", self.fanout)
@@ -193,7 +159,6 @@ class GossipConfig:
         if not 0.0 <= self.intra_node_bias <= 1.0:
             raise ValueError("intra_node_bias must be in [0, 1]")
         check_in("knowledge", self.knowledge, ("auto", "packed", "sparse"))
-        check_in("kernel", self.kernel, ("auto", "python", "numba"))
         if self.knowledge == "sparse":
             if self.mode != "coalesced" or self.engine != "batched":
                 raise ValueError(
@@ -215,21 +180,18 @@ class GossipConfig:
         Auto selects sparse only where it is both applicable (no fault
         model or topology bias — those paths are packed-only) and a
         win: a ``max_known`` cap bounds the shards, and the rank count
-        is at or past the measured packed/sparse crossover — which
-        depends on the sparse driver the ``kernel`` knob selects
-        (``SPARSE_AUTO_MIN_RANKS_FAST`` for the fused driver,
-        ``SPARSE_AUTO_MIN_RANKS`` for the Python reference).
+        is at or past the measured packed/sparse crossover
+        :data:`SPARSE_AUTO_MIN_RANKS_FAST`.
         """
         if self.knowledge != "auto":
             return self.knowledge
-        threshold = resolve_auto_threshold(self.kernel)
         if (
             self.mode == "coalesced"
             and self.engine == "batched"
             and self.max_known is not None
             and self.faults is None
             and self.intra_node_bias == 0.0
-            and n_ranks >= threshold
+            and n_ranks >= SPARSE_AUTO_MIN_RANKS_FAST
         ):
             return "sparse"
         return "packed"
@@ -365,7 +327,7 @@ def run_inform_stage(
         knowledge_backend=(
             "sparse" if sparse else "packed" if batched else "reference"
         ),
-        auto_threshold=resolve_auto_threshold(config.kernel),
+        auto_threshold=SPARSE_AUTO_MIN_RANKS_FAST,
     )
     seeds = np.flatnonzero(underloaded)
     if seeds.size == 0:
@@ -382,12 +344,7 @@ def run_inform_stage(
             raise ValueError("fault injection requires mode='coalesced'")
         _run_per_message(know, seeds, config, rng, result)  # type: ignore[arg-type]
     elif sparse:
-        if config.kernel == "python":
-            _run_coalesced_sparse(know, seeds, config, rng, result)  # type: ignore[arg-type]
-        else:
-            if config.kernel == "numba":
-                warn_numba_missing("the sparse inform kernel")
-            _run_coalesced_sparse_fast(know, seeds, config, rng, result)  # type: ignore[arg-type]
+        _run_coalesced_sparse(know, seeds, config, rng, result)  # type: ignore[arg-type]
     elif batched:
         _run_coalesced_batched(know, seeds, config, rng, result, model)  # type: ignore[arg-type]
     else:
@@ -1131,121 +1088,8 @@ def _run_coalesced_batched(
             break
 
 
-def _run_coalesced_sparse(
-    know: SparseKnowledge,
-    seeds: np.ndarray,
-    config: GossipConfig,
-    rng: np.random.Generator,
-    result: GossipResult,
-) -> None:
-    """Round engine over :class:`SparseKnowledge` shards.
-
-    Structurally the batched engine with the packed candidate matrix
-    replaced by a :class:`_SparseComplementCandidates` view: nothing
-    O(P) per sender is ever materialized, so round cost scales with
-    shard sizes (bounded by ``max_known``) instead of ``P``. Because
-    the shared sampler's control flow depends only on ``counts`` /
-    ``want`` — identical here by construction — this engine consumes
-    the same RNG stream and picks the same targets as the packed
-    engine, draw for draw.
-
-    ``config.__post_init__`` guarantees no faults and no intra-node
-    bias on this path, so neither is handled here.
-    """
-    n_ranks = know.n_ranks
-    fanout = config.fanout
-    rpn = config.ranks_per_node
-    template = np.packbits(np.ones(n_ranks, dtype=bool))
-
-    senders = seeds.astype(np.int64)
-    initiating = True
-    for _round in range(1, config.rounds + 1):
-        result.per_round_messages.append(0)
-        result.per_round_senders.append(int(senders.size))
-        sender_list = senders.tolist()
-        # Shard references are the round's payload snapshot: every
-        # mutation in SparseKnowledge replaces a shard array rather
-        # than writing into it, so same-round merges cannot leak into
-        # these payloads (the packed engine copies rows for the same
-        # reason).
-        snap = [know.shards[s] for s in sender_list]
-        lens = np.fromiter((s.size for s in snap), np.int64, senders.size)
-        entries = lens
-        if initiating or not config.avoid_known:
-            counts = np.full(senders.size, n_ranks - 1, dtype=np.int64)
-            cand = _SparseComplementCandidates(
-                n_ranks, senders, None, None, None, template
-            )
-        else:
-            # Flat keys `row * P + id` over the row-major shard concat
-            # are globally sorted (shards are sorted, rows ascend), so
-            # membership for a whole wave is one searchsorted.
-            if int(lens.sum()):
-                flat_keys = np.repeat(
-                    np.arange(senders.size, dtype=np.int64) * n_ranks, lens
-                ) + np.concatenate(snap).astype(np.int64)
-            else:
-                flat_keys = np.empty(0, dtype=np.int64)
-            self_keys = np.arange(senders.size, dtype=np.int64) * n_ranks + senders
-            if flat_keys.size:
-                pos = np.searchsorted(flat_keys, self_keys)
-                knows_self = (
-                    flat_keys[np.minimum(pos, flat_keys.size - 1)] == self_keys
-                )
-            else:
-                knows_self = np.zeros(senders.size, dtype=bool)
-            counts = n_ranks - lens - (~knows_self)
-            cand = _SparseComplementCandidates(
-                n_ranks, senders, snap, lens, flat_keys, template
-            )
-
-        want = np.minimum(fanout, counts)
-        row_idx, targets = _sample_packed_rows(rng, cand, counts, want, n_ranks)
-        if targets.size == 0:
-            break
-        n = int(targets.size)
-        result.n_messages += n
-        result.bytes_sent += n * HEADER_BYTES + ENTRY_BYTES * int(
-            entries[row_idx].sum()
-        )
-        result.per_round_messages[-1] = n
-        result.inter_node_messages += int(
-            np.count_nonzero(targets // rpn != senders[row_idx] // rpn)
-        )
-        # Merge: group messages by receiver, union each receiver's
-        # current shard with all payload shards addressed to it.
-        order = np.argsort(targets, kind="stable")
-        targets_sorted = targets[order]
-        sources_sorted = row_idx[order]
-        receivers, starts = np.unique(targets_sorted, return_index=True)
-        bounds = np.append(starts, targets_sorted.size)
-        src_list = sources_sorted.tolist()
-        shards = know.shards
-        for i, r in enumerate(receivers.tolist()):
-            parts = [shards[r]]
-            for j in range(bounds[i], bounds[i + 1]):
-                parts.append(snap[src_list[j]])
-            merged = np.concatenate(parts)
-            if merged.size == 0:
-                shards[r] = merged
-                continue
-            # In-place sort + adjacency dedup == np.unique, minus the
-            # ~100us/call overhead that dominates saturated rounds
-            # (every rank is a receiver, so this loop runs P times).
-            merged.sort()
-            keep = np.empty(merged.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            shards[r] = merged[keep]
-        _trim_rows_sparse(know, receivers, result.load_snapshot, config, rng)
-        initiating = False
-        senders = receivers
-        if senders.size == 0:  # pragma: no cover - targets imply receivers
-            break
-
-
 # ---------------------------------------------------------------------------
-# Fused sparse driver (``kernel="auto"``/``"numba"``): shard interning.
+# Fused sparse driver: shard interning.
 # ---------------------------------------------------------------------------
 
 #: Minimum rows sharing one payload object before the round builds a
@@ -1303,17 +1147,16 @@ class _FastSparseCandidates:
     Identical answers to :class:`_SparseComplementCandidates`, cheaper
     cost model: rows whose payload is the round's dominant (interned)
     shard object test draws against one shared boolean bitmap of that
-    shard, and only the remaining rows pay per-row membership — the
-    jitted binary-search kernel when numba is installed, the flat-key
-    ``searchsorted`` otherwise.
+    shard, and only the remaining rows pay per-row membership — one
+    ``searchsorted`` over their flat ``row * P + id`` keys.
 
     When the driver stores shards in priority space (capped "lowest"
-    trim; see :func:`_run_coalesced_sparse_fast`), ``enc``/``dec``
-    carry the rank->priority permutation and its inverse: draws are
-    rank ids, so membership encodes the draw (``enc``) against the
-    priority-valued segments, while the dominant bitmap and the exact
-    ``extract`` path decode members (``dec``) back to rank ids once.
-    Both are ``None`` in id space.
+    trim; see :func:`_run_coalesced_sparse`), ``enc``/``dec`` carry the
+    rank->priority permutation and its inverse: draws are rank ids, so
+    membership encodes the draw (``enc``) against the priority-valued
+    keys, while the dominant bitmap and the exact ``extract`` path
+    decode members (``dec``) back to rank ids once. Both are ``None``
+    in id space.
     """
 
     __slots__ = (
@@ -1325,11 +1168,7 @@ class _FastSparseCandidates:
         "dom_mask",
         "bitmap",
         "nd_pos",
-        "nd_flat",
-        "nd_starts",
-        "nd_lens",
         "nd_flat_keys",
-        "member_kernel",
         "enc",
         "dec",
     )
@@ -1344,11 +1183,7 @@ class _FastSparseCandidates:
         dom_mask: np.ndarray | None,
         bitmap: np.ndarray | None,
         nd_pos: np.ndarray,
-        nd_flat: np.ndarray,
-        nd_starts: np.ndarray,
-        nd_lens: np.ndarray,
-        nd_flat_keys: np.ndarray | None,
-        member_kernel,
+        nd_flat_keys: np.ndarray,
         enc: np.ndarray | None,
         dec: np.ndarray | None,
     ) -> None:
@@ -1360,11 +1195,7 @@ class _FastSparseCandidates:
         self.dom_mask = dom_mask
         self.bitmap = bitmap
         self.nd_pos = nd_pos
-        self.nd_flat = nd_flat
-        self.nd_starts = nd_starts
-        self.nd_lens = nd_lens
         self.nd_flat_keys = nd_flat_keys
-        self.member_kernel = member_kernel
         self.enc = enc
         self.dec = dec
 
@@ -1372,25 +1203,14 @@ class _FastSparseCandidates:
         """Shard membership for non-dominant rows (compact indices).
 
         ``sub_draws`` holds rank ids; with ``enc`` set they are mapped
-        into the priority-valued segments first — membership of
+        into the priority-valued keys first — membership of
         ``enc[draw]`` in the encoded shard equals membership of
         ``draw`` in the original, since ``enc`` is a bijection.
         """
         if self.enc is not None:
             sub_draws = self.enc[sub_draws]
-        if self.member_kernel is not None:
-            hit = np.empty(sub_draws.shape, dtype=np.bool_)
-            self.member_kernel(
-                self.nd_flat,
-                self.nd_starts,
-                self.nd_lens,
-                sub_rows,
-                np.ascontiguousarray(sub_draws),
-                hit,
-            )
-            return hit
         flat = self.nd_flat_keys
-        if flat is None or not flat.size:
+        if not flat.size:
             return np.zeros(sub_draws.shape, dtype=bool)
         keys = (sub_rows[:, None] * np.int64(self.n_ranks) + sub_draws).ravel()
         pos = np.searchsorted(flat, keys)
@@ -1437,7 +1257,6 @@ def _fast_candidates(
     snap: list[np.ndarray],
     lens: np.ndarray,
     template: np.ndarray,
-    member_kernel,
     enc: np.ndarray | None = None,
     dec: np.ndarray | None = None,
 ) -> tuple[np.ndarray, _FastSparseCandidates]:
@@ -1446,9 +1265,9 @@ def _fast_candidates(
     Groups sender rows by payload *object* — interning makes equal
     shards identical objects, so converged rounds collapse to one
     dominant group — and gives that group a single shared bitmap.
-    ``counts`` is computed exactly as the reference driver does
-    (``P - |S^p| - (p not in S^p)``), so the shared sampler sees the
-    same inputs and consumes the same RNG stream. ``enc``/``dec``
+    ``counts`` is ``P - |S^p| - (p not in S^p)``, exactly what
+    :class:`_SparseComplementCandidates` implies, so the shared sampler
+    sees the same inputs and consumes the same RNG stream. ``enc``/``dec``
     flag priority-space shards (see :class:`_FastSparseCandidates`).
     """
     n_rows = int(senders.size)
@@ -1479,21 +1298,11 @@ def _fast_candidates(
     nd_pos[nd_rows] = np.arange(nd_rows.size)
     nd_lens = lens[nd_rows]
     if int(nd_lens.sum()):
-        nd_flat = np.concatenate([snap[i] for i in nd_rows.tolist()])
+        nd_flat_keys = np.repeat(
+            np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
+        ) + np.concatenate([snap[i] for i in nd_rows.tolist()]).astype(np.int64)
     else:
-        nd_flat = np.empty(0, dtype=SparseKnowledge._ID_DTYPE)
-    if nd_rows.size:
-        nd_starts = np.concatenate(([0], np.cumsum(nd_lens)[:-1]))
-    else:
-        nd_starts = np.empty(0, dtype=np.int64)
-    nd_flat_keys = None
-    if member_kernel is None:
-        if nd_flat.size:
-            nd_flat_keys = np.repeat(
-                np.arange(nd_rows.size, dtype=np.int64) * n_ranks, nd_lens
-            ) + nd_flat.astype(np.int64)
-        else:
-            nd_flat_keys = np.empty(0, dtype=np.int64)
+        nd_flat_keys = np.empty(0, dtype=np.int64)
     cand = _FastSparseCandidates(
         n_ranks,
         senders,
@@ -1503,11 +1312,7 @@ def _fast_candidates(
         dom_mask,
         bitmap,
         nd_pos,
-        nd_flat,
-        nd_starts,
-        nd_lens,
         nd_flat_keys,
-        member_kernel,
         enc,
         dec,
     )
@@ -1519,23 +1324,31 @@ def _fast_candidates(
     return counts, cand
 
 
-def _run_coalesced_sparse_fast(
+def _run_coalesced_sparse(
     know: SparseKnowledge,
     seeds: np.ndarray,
     config: GossipConfig,
     rng: np.random.Generator,
     result: GossipResult,
 ) -> None:
-    """Fused sparse round engine (``kernel="auto"``/``"numba"``).
+    """Round engine over :class:`SparseKnowledge` shards.
 
-    Bit-identical to :func:`_run_coalesced_sparse` — same targets,
-    same shard values, same RNG stream — but built around one
-    observation: capped "lowest"-trim gossip *converges*. After a few
-    rounds most ranks hold the identical knowledge set (the globally
-    lowest-priority members), so most of the reference driver's
-    per-receiver concat/sort/dedup/argpartition work rebuilds a set
-    the receiver already has. Three value-preserving layers exploit
-    that:
+    Structurally the batched engine with the packed candidate matrix
+    replaced by a shard-backed membership view: nothing O(P) per sender
+    is ever materialized, so round cost scales with shard sizes
+    (bounded by ``max_known``) instead of ``P``. Because the shared
+    sampler's control flow depends only on ``counts`` / ``want`` —
+    identical here by construction — this engine consumes the same RNG
+    stream and picks the same targets as the packed engine, draw for
+    draw.
+
+    Its oracle (``tests/oracles.py``) concatenates, sorts, dedups and
+    trims every receiver of every round; this driver is built around
+    one observation: capped
+    "lowest"-trim gossip *converges*. After a few rounds most ranks
+    hold the identical knowledge set (the globally lowest-priority
+    members), so most per-receiver merges would rebuild a set the
+    receiver already has. Three value-preserving layers exploit that:
 
     - **Priority space** (capped "lowest" trim only): shards are
       stored as sorted *priority* values (``prio[member]``) for the
@@ -1552,10 +1365,9 @@ def _run_coalesced_sparse_fast(
       whole round with one ``reduceat`` — and sender rows sharing the
       round's dominant payload object test sampler draws against one
       shared bitmap (:class:`_FastSparseCandidates`).
-    - **Merge kernels**: the remaining real merges run through the
-      jitted two-way merge kernel where numba is installed
-      (:func:`repro.core._kernels.merge_shards`) and the NumPy
-      sort/dedup otherwise.
+    - **Single-payload adoption**: a receiver with an empty shard and
+      one distinct payload adopts the payload object; every other
+      real merge is one concat + in-place sort + adjacency dedup.
 
     The "random" trim draws RNG keys per over-cap row, so it cannot be
     fused or skipped; that path keeps id-space shards and the separate
@@ -1568,13 +1380,9 @@ def _run_coalesced_sparse_fast(
     fanout = config.fanout
     rpn = config.ranks_per_node
     template = np.packbits(np.ones(n_ranks, dtype=bool))
-    kernels = get_gossip_kernels()
-    merge_kernel = kernels[0] if kernels is not None else None
-    member_kernel = kernels[1] if kernels is not None else None
     interner = _ShardInterner(max_buckets=max(1024, n_ranks // 4))
     shards = know.shards
     id_dtype = SparseKnowledge._ID_DTYPE
-    merge_buf = np.empty(0, dtype=id_dtype)
     cap = config.max_known
     fused_trim = cap is not None and config.trim_policy == "lowest"
     enc: np.ndarray | None = None
@@ -1617,7 +1425,7 @@ def _run_coalesced_sparse_fast(
             )
         else:
             counts, cand = _fast_candidates(
-                n_ranks, senders, snap, lens, template, member_kernel, enc, dec
+                n_ranks, senders, snap, lens, template, enc, dec
             )
 
         want = np.minimum(fanout, counts)
@@ -1677,19 +1485,11 @@ def _run_coalesced_sparse_fast(
                 # Adopting the payload object shares it; shard arrays
                 # are immutable-by-replacement, so sharing is safe.
                 merged = parts[0]
-            elif merge_kernel is not None and len(parts) == 1:
-                b = parts[0]
-                need = own.size + b.size
-                if merge_buf.size < need:
-                    merge_buf = np.empty(need, dtype=merge_buf.dtype)
-                k = merge_kernel(own, b, merge_buf)
-                if fused_trim and k > cap:
-                    k = cap
-                merged = interner.canon(merge_buf[:k].copy())
             else:
                 merged = np.concatenate([own, *parts])
                 # In-place sort + adjacency dedup == np.unique, minus
-                # the per-call overhead (see the reference driver).
+                # the ~100us/call overhead that dominates saturated
+                # rounds (every rank is a receiver).
                 merged.sort()
                 keep = np.empty(merged.size, dtype=bool)
                 keep[0] = True

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._kernels import get_gossip_kernels
 from repro.util.validation import check_positive
 
 __all__ = ["KnowledgeBitmap", "PackedKnowledgeBitmap", "SparseKnowledge"]
@@ -376,10 +375,8 @@ class SparseKnowledge:
         """Mean fraction of the underloaded set each rank knows.
 
         One flat pass: concatenate every shard, test membership against
-        the underloaded mask, and segment-sum the hits per rank — via
-        the jitted :func:`repro.core._kernels.coverage_hits` kernel
-        when numba is installed, the cumulative-sum formulation
-        otherwise (identical integer counts either way).
+        the underloaded mask, and segment-sum the hits per rank as
+        differences of one cumulative sum.
         """
         n_under = _coverage_denominator(underloaded)
         if n_under == 0:
@@ -393,14 +390,9 @@ class SparseKnowledge:
         if int(lens.sum()) == 0:
             return 0.0
         flat = np.concatenate(self.shards)
-        kernels = get_gossip_kernels()
-        if kernels is not None:
-            per_rank = np.empty(self.n_ranks, dtype=np.int64)
-            kernels[2](flat, lens, np.ascontiguousarray(mask), per_rank)
-        else:
-            hits = np.concatenate(([0], np.cumsum(mask[flat], dtype=np.int64)))
-            ends = np.cumsum(lens)
-            per_rank = hits[ends] - hits[ends - lens]
+        hits = np.concatenate(([0], np.cumsum(mask[flat], dtype=np.int64)))
+        ends = np.cumsum(lens)
+        per_rank = hits[ends] - hits[ends - lens]
         return float(per_rank.mean() / n_under)
 
     @property

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.base import LBResult, LoadBalancer
-from repro.core.cmf import CMF_MODIFIED, CMF_UPDATE_INCREMENTAL
+from repro.core.cmf import CMF_MODIFIED
 from repro.core.criteria import CRITERION_RELAXED
 from repro.core.distribution import Distribution
 from repro.core.gossip import GossipConfig
@@ -55,7 +55,6 @@ class TemperedConfig:
     criterion: str = CRITERION_RELAXED
     cmf: str = CMF_MODIFIED
     recompute_cmf: bool = True
-    cmf_update: str = CMF_UPDATE_INCREMENTAL  #: l.7 maintenance (see cmf.py)
     ordering: str = ORDER_FEWEST_MIGRATIONS
     gossip_mode: str = "coalesced"
     #: Inform-stage engine: "batched" (vectorized rounds on packed
@@ -70,16 +69,6 @@ class TemperedConfig:
     #: Knowledge backend for the batched inform engine: "auto" /
     #: "packed" / "sparse" (see :class:`~repro.core.gossip.GossipConfig`).
     knowledge: str = "auto"
-    #: Sparse inform driver: "auto" (fused fast path), "numba" (fused +
-    #: jitted kernels, warns once without numba) or "python" (reference
-    #: oracle); bit-identical results either way.
-    gossip_kernel: str = "auto"
-    #: Transfer-stage engine: "soa" (structure-of-arrays rank state,
-    #: default) or "lists" (reference); see TransferConfig.
-    transfer_engine: str = "soa"
-    #: SoA inner-loop kernel: "python" or "numba" (jitted when numba is
-    #: installed, bit-identical fallback otherwise).
-    transfer_kernel: str = "python"
     #: Trial-level parallelism: None = historical serial semantics (one
     #: shared RNG stream); >= 1 = that many workers with spawned
     #: per-trial streams (bit-identical for any worker count >= 1).
@@ -117,7 +106,6 @@ class TemperedConfig:
             max_known=self.max_known,
             trim_policy=self.trim_policy,
             knowledge=self.knowledge,
-            kernel=self.gossip_kernel,
             faults=self.faults,
         )
 
@@ -127,15 +115,12 @@ class TemperedConfig:
             criterion=self.criterion,
             cmf=self.cmf,
             recompute_cmf=self.recompute_cmf,
-            cmf_update=self.cmf_update,
             ordering=self.ordering,
             threshold=self.threshold,
             view=self.view,
             max_passes=self.max_passes,
             cascade=self.cascade,
             nacks=self.nacks,
-            engine=self.transfer_engine,
-            kernel=self.transfer_kernel,
         )
 
     def lbaf_variant(self) -> "TemperedConfig":

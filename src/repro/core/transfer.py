@@ -35,17 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._kernels import PASS_REBUILD, get_transfer_pass, warn_numba_missing
-from repro.core.cmf import (
-    CMF_MODIFIED,
-    CMF_ORIGINAL,
-    CMF_UPDATE_INCREMENTAL,
-    CMF_UPDATE_REBUILD,
-    CMF_UPDATES,
-    IncrementalCMF,
-    build_cmf,
-    sample_cmf,
-)
+from repro.core.cmf import CMF_MODIFIED, CMF_ORIGINAL, IncrementalCMF
 from repro.core.criteria import CRITERIA, CRITERION_RELAXED
 from repro.core.gossip import GossipResult
 from repro.core.ordering import ORDER_ARBITRARY, ORDERINGS, order_tasks
@@ -58,19 +48,6 @@ __all__ = ["TransferConfig", "TransferStats", "transfer_stage", "transfer_from_r
 VIEW_SNAPSHOT = "snapshot"
 VIEW_SHARED = "shared"
 
-#: Transfer-stage execution engines: "soa" walks structure-of-arrays
-#: rank state (CSR task buffer, copy-on-write overrides — the scalable
-#: path, bit-identical) and is the default; "lists" is the
-#: list-of-Python-lists reference.
-ENGINE_SOA = "soa"
-ENGINE_LISTS = "lists"
-
-#: Inner-loop kernels for the SoA engine: "python" (default) runs the
-#: pure-Python kernel, "numba" the jitted build when numba is
-#: installed (silently identical to "python" when it is not).
-KERNEL_PYTHON = "python"
-KERNEL_NUMBA = "numba"
-
 #: Hard cap on full passes when ``max_passes`` is None ("until no progress").
 _PASS_CAP = 1000
 
@@ -82,30 +59,21 @@ class TransferConfig:
     criterion: str = CRITERION_RELAXED  #: "original" (l.35) or "relaxed" (l.37)
     cmf: str = CMF_MODIFIED  #: "original" (l.23) or "modified" (l.25)
     recompute_cmf: bool = True  #: rebuild F per candidate (l.7) vs once (l.5)
-    #: How l.7's recomputation is maintained: "incremental" (O(log n)
-    #: Fenwick updates, the fast path) or "rebuild" (full BUILDCMF per
-    #: accepted transfer, the pre-optimization reference).
-    cmf_update: str = CMF_UPDATE_INCREMENTAL
     ordering: str = ORDER_ARBITRARY  #: § V-E traversal order
     threshold: float = 1.0  #: h — relative imbalance threshold
     view: str = VIEW_SNAPSHOT  #: "snapshot" (distributed) or "shared" (LBAF)
     max_passes: int | None = 1  #: passes over the task list; None = no-progress
     cascade: bool = False  #: process ranks overloaded mid-stage
     nacks: bool = False  #: Menon-style negative acknowledgements (§ V-A)
-    engine: str = ENGINE_SOA  #: "soa" (CSR rank state) or "lists" (reference)
-    kernel: str = KERNEL_PYTHON  #: SoA inner loop: "python" or "numba"
 
     def __post_init__(self) -> None:
         check_in("criterion", self.criterion, CRITERIA)
         check_in("cmf", self.cmf, (CMF_ORIGINAL, CMF_MODIFIED))
-        check_in("cmf_update", self.cmf_update, CMF_UPDATES)
         check_in("ordering", self.ordering, ORDERINGS)
         check_positive("threshold", self.threshold)
         check_in("view", self.view, (VIEW_SNAPSHOT, VIEW_SHARED))
         if self.max_passes is not None:
             check_positive("max_passes", self.max_passes)
-        check_in("engine", self.engine, (ENGINE_SOA, ENGINE_LISTS))
-        check_in("kernel", self.kernel, (KERNEL_PYTHON, KERNEL_NUMBA))
 
 
 @dataclass
@@ -124,8 +92,8 @@ class TransferStats:
     overloaded_ranks: int = 0
     stalled_ranks: int = 0
     rank_processings: int = 0
-    cmf_builds: int = 0  #: full BUILDCMF invocations (l.5 vs l.7 cost)
-    cmf_updates: int = 0  #: O(log n) incremental mass updates (fast path)
+    cmf_builds: int = 0  #: full O(n) CMF builds (one per sender, plus l_s moves)
+    cmf_updates: int = 0  #: O(log n) incremental mass updates (l.7)
     budget_exhausted: bool = False
     moves: list[tuple[int, int, int]] = field(default_factory=list)  #: (task, src, dst)
 
@@ -164,59 +132,6 @@ class TransferStats:
         registry.inc(f"{prefix}.cmf_updates", self.cmf_updates)
         registry.inc(f"{prefix}.overloaded_ranks", self.overloaded_ranks)
         registry.inc(f"{prefix}.stalled_ranks", self.stalled_ranks)
-
-
-def _rank_task_lists(assignment: np.ndarray, n_ranks: int) -> list[list[int]]:
-    """Per-rank task lists (ascending task id) from an assignment.
-
-    One stable argsort + boundary search instead of a Python loop over
-    every task; the stable sort preserves ascending task ids within each
-    rank, so the lists are identical to the naive construction.
-    """
-    assignment = np.asarray(assignment)
-    by_rank = np.argsort(assignment, kind="stable")
-    bounds = np.searchsorted(assignment[by_rank], np.arange(n_ranks + 1))
-    ordered = by_rank.tolist()
-    return [ordered[bounds[r] : bounds[r + 1]] for r in range(n_ranks)]
-
-
-class _RebuildCMF:
-    """Pre-optimization recipient sampler: full BUILDCMF per refresh.
-
-    Shares a duck interface with :class:`IncrementalCMF` (``exhausted``,
-    ``sample``, ``update``, ``builds``/``updates`` counters) so the
-    transfer loop is agnostic to the maintenance strategy. ``poke`` sets
-    a known load *without* refreshing the distribution — the bookkeeping
-    path when ``recompute_cmf`` is off (Alg. 2 l.5 semantics).
-    """
-
-    __slots__ = ("loads", "l_ave", "variant", "cmf", "builds", "updates")
-
-    def __init__(self, known_loads: np.ndarray, l_ave: float, variant: str) -> None:
-        self.loads = known_loads
-        self.l_ave = l_ave
-        self.variant = variant
-        self.builds = 0
-        self.updates = 0
-        self._build()
-
-    def _build(self) -> None:
-        self.cmf = build_cmf(self.loads, self.l_ave, self.variant)
-        self.builds += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cmf is None
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return sample_cmf(self.cmf, rng)
-
-    def update(self, idx: int, new_load: float) -> None:
-        self.loads[idx] = new_load
-        self._build()
-
-    def poke(self, idx: int, new_load: float) -> None:
-        self.loads[idx] = new_load
 
 
 def transfer_stage(
@@ -267,11 +182,7 @@ def transfer_stage(
 
     # Mutable per-rank task state. Senders only consult their own tasks;
     # recipient arrivals are maintained so cascaded processing sees them.
-    soa = config.engine == ENGINE_SOA
-    if soa:
-        state = RankTaskState(assignment, n_ranks)
-    else:
-        rank_tasks = _rank_task_lists(assignment, n_ranks)
+    state = RankTaskState(assignment, n_ranks)
 
     queue: deque[int] = deque(int(p) for p in overloaded)
     queued = set(queue)
@@ -287,14 +198,9 @@ def transfer_stage(
             stats.budget_exhausted = True
             break
         stats.rank_processings += 1
-        if soa:
-            recipients = _transfer_from_rank_soa(
-                p, state, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-            )
-        else:
-            recipients = _transfer_from_rank(
-                p, rank_tasks, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
-            )
+        recipients = _transfer_from_rank(
+            p, state, assignment, task_loads, loads, l_ave, gossip, config, rng, stats
+        )
         if config.cascade:
             for r in recipients:
                 if loads[r] > threshold_load and r not in queued:
@@ -328,33 +234,18 @@ def transfer_from_rank(
         return stats
     stats.overloaded_ranks = 1
     stats.rank_processings = 1
-    if config.engine == ENGINE_SOA:
-        _transfer_from_rank_soa(
-            int(p),
-            RankTaskState(assignment, n_ranks),
-            assignment,
-            task_loads,
-            loads,
-            gossip.average_load,
-            gossip,
-            config,
-            rng,
-            stats,
-        )
-    else:
-        rank_tasks = _rank_task_lists(assignment, n_ranks)
-        _transfer_from_rank(
-            int(p),
-            rank_tasks,
-            assignment,
-            task_loads,
-            loads,
-            gossip.average_load,
-            gossip,
-            config,
-            rng,
-            stats,
-        )
+    _transfer_from_rank(
+        int(p),
+        RankTaskState(assignment, n_ranks),
+        assignment,
+        task_loads,
+        loads,
+        gossip.average_load,
+        gossip,
+        config,
+        rng,
+        stats,
+    )
     if registry is not None and registry.enabled:
         stats.record(registry)
     return stats
@@ -362,7 +253,7 @@ def transfer_from_rank(
 
 def _transfer_from_rank(
     p: int,
-    rank_tasks: list[list[int]],
+    state: RankTaskState,
     assignment: np.ndarray,
     task_loads: np.ndarray,
     loads: np.ndarray,
@@ -373,6 +264,12 @@ def _transfer_from_rank(
     stats: TransferStats,
 ) -> set[int]:
     """Algorithm 2 TRANSFER for one overloaded rank ``p``.
+
+    The sender's tasks come from the :class:`RankTaskState` CSR view and
+    recipients are drawn from an :class:`IncrementalCMF`, which keeps
+    l.7's recomputation at O(log n) per accepted transfer. Without
+    recomputation (l.5) the distribution built up front stays fixed and
+    a correction only writes the sender's known load.
 
     Returns the set of ranks that received tasks (for cascading).
     """
@@ -391,33 +288,32 @@ def _transfer_from_rank(
     else:
         # Local view: inform-time snapshot + this sender's own transfers.
         known_loads = gossip.load_snapshot[candidates].copy()
-
-    if config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL:
-        sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
-    else:
-        sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
+    sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
     known_loads = sampler.loads  # single source of truth for l_x reads
 
     criterion = CRITERIA[config.criterion]
     threshold_load = config.threshold * l_ave
-    tasks = rank_tasks[p]
+    tasks = state.tasks(p)
     touched: set[int] = set()
 
     max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
     for _ in range(max_passes):
-        if loads[p] <= threshold_load or not tasks:
+        if loads[p] <= threshold_load or tasks.size == 0:
             break
         order = order_tasks(
-            config.ordering, np.asarray(tasks, dtype=np.int64), task_loads, l_ave, float(loads[p])
+            config.ordering,
+            tasks.astype(np.int64, copy=False),
+            task_loads,
+            l_ave,
+            float(loads[p]),
         )
-        o_loads = task_loads[order]  # one gather instead of per-task lookups
+        o_loads = task_loads[order]
         accepted: list[int] = []
-        for task, o_load in zip(order, o_loads):
+        for task, o_load in zip(order.tolist(), o_loads.tolist()):
             if loads[p] <= threshold_load:
                 break
             if sampler.exhausted:
                 break
-            o_load = float(o_load)
             idx = sampler.sample(rng)
             if shared:
                 l_x = float(loads[candidates[idx]])
@@ -435,161 +331,23 @@ def _transfer_from_rank(
                         if config.recompute_cmf:
                             sampler.update(idx, float(loads[recipient]))
                         else:
-                            sampler.poke(idx, float(loads[recipient]))
+                            known_loads[idx] = loads[recipient]
                     continue
                 loads[p] -= o_load
                 loads[recipient] += o_load
                 assignment[task] = recipient
-                rank_tasks[recipient].append(int(task))
-                accepted.append(int(task))
+                state.append(recipient, task)
+                accepted.append(task)
                 touched.add(recipient)
                 stats.transfers += 1
-                stats.moves.append((int(task), p, recipient))
+                stats.moves.append((task, p, recipient))
                 if config.recompute_cmf:
                     new_known = float(loads[recipient]) if shared else l_x + o_load
                     sampler.update(idx, new_known)
                 elif not shared:
-                    sampler.poke(idx, l_x + o_load)
+                    known_loads[idx] = l_x + o_load
             else:
                 stats.rejections += 1
-        if accepted:
-            remaining = set(accepted)
-            rank_tasks[p] = [t for t in tasks if t not in remaining]
-            tasks = rank_tasks[p]
-        else:
-            break
-        if sampler.exhausted:
-            break
-    stats.cmf_builds += sampler.builds
-    stats.cmf_updates += sampler.updates
-    if sampler.exhausted and loads[p] > threshold_load:
-        stats.stalled_ranks += 1
-    return touched
-
-
-def _transfer_from_rank_soa(
-    p: int,
-    state: RankTaskState,
-    assignment: np.ndarray,
-    task_loads: np.ndarray,
-    loads: np.ndarray,
-    l_ave: float,
-    gossip: GossipResult,
-    config: TransferConfig,
-    rng: np.random.Generator,
-    stats: TransferStats,
-) -> set[int]:
-    """Algorithm 2 TRANSFER for one rank, structure-of-arrays engine.
-
-    Bit-identical to :func:`_transfer_from_rank` — same float operations
-    in the same order, same RNG consumption — with the per-rank Python
-    lists replaced by :class:`RankTaskState` arrays. On the common
-    configuration (snapshot view, incremental CMF recomputation, no
-    nacks, PCG64 generator) each pass runs through the
-    :mod:`repro.core._kernels` transfer kernel: the pass's uniforms are
-    drawn as one block, the kernel consumes them scalar-for-scalar, and
-    the bit generator is rewound and advanced by the count actually
-    consumed, which replays exactly the reference loop's per-task
-    draws. Other configurations fall back to the scalar loop over the
-    same array state.
-    """
-    candidates = gossip.knowledge.known(p)
-    candidates = candidates[candidates != p]
-    if candidates.size == 0:
-        stats.stalled_ranks += 1
-        return set()
-
-    shared = config.view == VIEW_SHARED
-    if shared:
-        known_loads = loads[candidates]
-    else:
-        known_loads = gossip.load_snapshot[candidates].copy()
-
-    incremental = config.recompute_cmf and config.cmf_update == CMF_UPDATE_INCREMENTAL
-    if incremental:
-        sampler = IncrementalCMF(known_loads, l_ave, config.cmf, copy=False)
-    else:
-        sampler = _RebuildCMF(known_loads, l_ave, config.cmf)
-    known_loads = sampler.loads
-
-    criterion = CRITERIA[config.criterion]
-    threshold_load = config.threshold * l_ave
-    tasks = state.tasks(p)
-    touched: set[int] = set()
-
-    # The blocked-uniform kernel protocol pays per-pass overhead (bit
-    # generator state capture, Fenwick list<->array conversion) that only
-    # a compiled kernel amortizes, so it engages on kernel="numba" only;
-    # without numba installed it degrades to the pure-Python build of
-    # the same kernel — slower, but bit-identical and exercising the
-    # identical protocol.
-    use_kernel = (
-        config.kernel == KERNEL_NUMBA
-        and incremental
-        and not shared
-        and not config.nacks
-        and isinstance(rng.bit_generator, np.random.PCG64)
-    )
-    if use_kernel:
-        warn_numba_missing("the transfer-pass kernel")
-    kern = get_transfer_pass(True) if use_kernel else None
-
-    max_passes = config.max_passes if config.max_passes is not None else _PASS_CAP
-    for _ in range(max_passes):
-        if loads[p] <= threshold_load or tasks.size == 0:
-            break
-        order = order_tasks(
-            config.ordering,
-            tasks.astype(np.int64, copy=False),
-            task_loads,
-            l_ave,
-            float(loads[p]),
-        )
-        o_loads = task_loads[order]
-        accepted: list[int] = []
-        if kern is not None:
-            _run_kernel_pass(
-                kern, p, order, o_loads, candidates, sampler, assignment,
-                state, loads, l_ave, threshold_load, config, rng, stats,
-                touched, accepted,
-            )
-        else:
-            for task, o_load in zip(order.tolist(), o_loads.tolist()):
-                if loads[p] <= threshold_load:
-                    break
-                if sampler.exhausted:
-                    break
-                o_load = float(o_load)
-                idx = sampler.sample(rng)
-                if shared:
-                    l_x = float(loads[candidates[idx]])
-                else:
-                    l_x = float(known_loads[idx])
-                if criterion(l_x, o_load, l_ave, float(loads[p])):
-                    recipient = int(candidates[idx])
-                    if config.nacks and loads[recipient] + o_load > threshold_load:
-                        stats.nacked += 1
-                        if not shared:
-                            if config.recompute_cmf:
-                                sampler.update(idx, float(loads[recipient]))
-                            else:
-                                sampler.poke(idx, float(loads[recipient]))
-                        continue
-                    loads[p] -= o_load
-                    loads[recipient] += o_load
-                    assignment[task] = recipient
-                    state.append(recipient, task)
-                    accepted.append(task)
-                    touched.add(recipient)
-                    stats.transfers += 1
-                    stats.moves.append((task, p, recipient))
-                    if config.recompute_cmf:
-                        new_known = float(loads[recipient]) if shared else l_x + o_load
-                        sampler.update(idx, new_known)
-                    elif not shared:
-                        sampler.poke(idx, l_x + o_load)
-                else:
-                    stats.rejections += 1
         if accepted:
             # Set-filter beats np.isin here: task lists are short and
             # np.isin's per-call dispatch dominates at this grain.
@@ -608,87 +366,3 @@ def _transfer_from_rank_soa(
     if sampler.exhausted and loads[p] > threshold_load:
         stats.stalled_ranks += 1
     return touched
-
-
-def _run_kernel_pass(
-    kern,
-    p: int,
-    order: np.ndarray,
-    o_loads: np.ndarray,
-    candidates: np.ndarray,
-    sampler: IncrementalCMF,
-    assignment: np.ndarray,
-    state: RankTaskState,
-    loads: np.ndarray,
-    l_ave: float,
-    threshold_load: float,
-    config: TransferConfig,
-    rng: np.random.Generator,
-    stats: TransferStats,
-    touched: set[int],
-    accepted: list[int],
-) -> None:
-    """One full pass of ``order`` through the transfer kernel.
-
-    Blocked-uniform RNG protocol: capture the bit-generator state, draw
-    one uniform per task (the most a pass can consume), run the kernel,
-    then rewind and ``advance`` by the count actually consumed — the
-    stream the kernel saw is exactly the sequence of ``rng.random()``
-    calls the scalar loop would have made. A kernel ``PASS_REBUILD``
-    return is the mid-pass ``l_s`` change that :class:`IncrementalCMF`
-    answers with a full rebuild; the driver rebuilds and re-enters at
-    the returned position.
-    """
-    bg = rng.bit_generator
-    start_state = bg.state
-    uniforms = rng.random(order.size)
-    acc_pos = np.empty(order.size, dtype=np.int64)
-    acc_idx = np.empty(order.size, dtype=np.int64)
-    pos = 0
-    u_pos = 0
-    p_load = float(loads[p])
-    variant_modified = sampler.variant == CMF_MODIFIED
-    criterion_relaxed = config.criterion == CRITERION_RELAXED
-    while True:
-        tree = sampler._tree
-        tree_arr = np.asarray(tree if tree is not None else [0.0], dtype=np.float64)
-        (
-            status, pos, u_pos, n_acc, n_rej, n_upd,
-            total, n_positive, max_load, p_load,
-        ) = kern(
-            o_loads, pos, uniforms, u_pos,
-            sampler.loads, sampler.masses, tree_arr,
-            sampler.total, sampler.n_positive, sampler._max_load,
-            sampler.l_s, l_ave, p_load, threshold_load,
-            variant_modified, criterion_relaxed,
-            acc_pos, acc_idx,
-        )
-        sampler.total = float(total)
-        sampler.n_positive = int(n_positive)
-        sampler._max_load = float(max_load)
-        sampler.updates += int(n_upd)
-        stats.rejections += int(n_rej)
-        for j in range(int(n_acc)):
-            pj = int(acc_pos[j])
-            task = int(order[pj])
-            recipient = int(candidates[acc_idx[j]])
-            o_load = float(o_loads[pj])
-            loads[p] -= o_load
-            loads[recipient] += o_load
-            assignment[task] = recipient
-            state.append(recipient, task)
-            accepted.append(task)
-            touched.add(recipient)
-            stats.transfers += 1
-            stats.moves.append((task, p, recipient))
-        if status == PASS_REBUILD:
-            # The kernel already wrote the triggering load; rebuilding
-            # from it reproduces IncrementalCMF.update's rebuild branch.
-            sampler._rebuild()
-            continue
-        if tree is not None:
-            sampler._tree = tree_arr.tolist()
-        break
-    bg.state = start_state
-    if u_pos:
-        bg.advance(u_pos)

@@ -72,9 +72,10 @@ def run_fault_bench(
 ) -> dict[str, Any]:
     """Sweep loss rates and return the ``BENCH_faults.json`` payload.
 
-    Each row reports the inform-stage coverage and the end-to-end
-    refined imbalance at one loss rate, both with the bare lossy link
-    and with retransmission switched on (the recovery column).
+    Each row reports the inform-stage coverage, message counters and
+    the end-to-end refined imbalance at one loss rate, both with the
+    bare lossy link and with retransmission switched on (the
+    ``*_retransmit`` recovery columns).
     """
     n_tasks, n_loaded, n_ranks = QUICK_SCALE if quick else FULL_SCALE
     dist = paper_analysis_scenario(
@@ -99,9 +100,10 @@ def run_fault_bench(
             row["final_imbalance_retransmit"] = _rebalance(dist, recovered, seed)[
                 "final_imbalance"
             ]
-            row["coverage_retransmit"] = _coverage(
-                loads, dist.average_load, recovered, seed + 1
-            )["coverage"]
+            recovery = _coverage(loads, dist.average_load, recovered, seed + 1)
+            row["coverage_retransmit"] = recovery["coverage"]
+            row["dropped_retransmit"] = recovery["dropped"]
+            row["retransmits_retransmit"] = recovery["retransmits"]
         else:
             # Zero-fault invisibility: the lossless row IS the baseline.
             if row["final_imbalance"] != baseline["final_imbalance"]:
@@ -111,6 +113,8 @@ def run_fault_bench(
                 )
             row["final_imbalance_retransmit"] = row["final_imbalance"]
             row["coverage_retransmit"] = row["coverage"]
+            row["dropped_retransmit"] = row["dropped"]
+            row["retransmits_retransmit"] = row["retransmits"]
         rows.append(row)
     return {
         "meta": {
@@ -142,13 +146,14 @@ def format_fault_report(payload: dict[str, Any]) -> str:
         f"baseline I = {payload['baseline']['final_imbalance']:.4f})",
         "",
         f"  {'loss':>6}  {'coverage':>8}  {'dropped':>7}  {'final I':>8}  "
-        f"{'I (retx)':>8}  {'migrations':>10}",
+        f"{'I (retx)':>8}  {'retx':>6}  {'migrations':>10}",
     ]
     for row in payload["rows"]:
         lines.append(
             f"  {row['loss_rate']:>6.2f}  {row['coverage']:>8.3f}  "
             f"{row['dropped']:>7d}  {row['final_imbalance']:>8.4f}  "
             f"{row['final_imbalance_retransmit']:>8.4f}  "
+            f"{row['retransmits_retransmit']:>6d}  "
             f"{row['n_migrations']:>10d}"
         )
     return "\n".join(lines)

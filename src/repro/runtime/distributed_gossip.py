@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.gossip import (
     ENTRY_BYTES,
     HEADER_BYTES,
+    SPARSE_AUTO_MIN_RANKS,
     GossipResult,
-    resolve_auto_threshold,
 )
 from repro.core.knowledge import (
     KnowledgeBitmap,
@@ -113,7 +113,8 @@ class DistributedGossip:
         #: Explicit backend selection overriding ``packed``: "packed",
         #: "sparse" (per-rank sorted id shards — the O(sum |S^p|)
         #: representation for high rank counts) or "auto" (sparse from
-        #: ``resolve_auto_threshold("python")`` ranks, packed below).
+        #: :data:`~repro.core.gossip.SPARSE_AUTO_MIN_RANKS` ranks, packed
+        #: below).
         #: ``None``
         #: keeps the legacy ``packed`` bool semantics. All backends
         #: exchange identical id arrays and consume identical RNG, so
@@ -144,13 +145,10 @@ class DistributedGossip:
 
         underloaded = self.loads < self.average_load
         backend = self.knowledge
-        # This driver merges per received message in scalar Python — the
-        # reference-driver cost profile — so auto uses the shared
-        # "python" crossover, not the fused-kernel one it used to
-        # hard-code (that drifted once the two thresholds diverged).
-        auto_threshold = resolve_auto_threshold("python")
+        # This driver merges per received message in scalar Python, so
+        # auto uses the scalar-merge crossover, not the fused driver's.
         if backend == "auto":
-            backend = "sparse" if n >= auto_threshold else "packed"
+            backend = "sparse" if n >= SPARSE_AUTO_MIN_RANKS else "packed"
         if backend == "sparse":
             know: KnowledgeBitmap | PackedKnowledgeBitmap | SparseKnowledge = (
                 SparseKnowledge(n)
@@ -258,5 +256,5 @@ class DistributedGossip:
                 else "packed" if isinstance(know, PackedKnowledgeBitmap)
                 else "reference"
             ),
-            auto_threshold=auto_threshold,
+            auto_threshold=SPARSE_AUTO_MIN_RANKS,
         )

@@ -1,14 +1,16 @@
-"""The scaling stack is bit-identical to the reference stack.
+"""The scaling stack is bit-identical to the reference stacks.
 
-``knowledge="sparse"`` gossip + ``engine="soa"`` transfer exist purely
-for memory and wall-time at high rank counts — every decision they make
-must be the one the packed-bitmap + list-based stack makes. These tests
-drive both stacks through full inform+transfer episodes over 20 seeds
-at 512 and 4,096 ranks and require exact equality of the knowledge
-matrix, the per-round sender/message accounting, the transferred
-assignment and the stats counters — plus the final RNG state, so the
-stacks consume the identical stream and stay interchangeable
-mid-episode.
+``knowledge="sparse"`` gossip (the fused driver) exists purely for
+memory and wall-time at high rank counts — every decision it makes must
+be the one the packed bitmap makes, and the one the per-receiver sparse
+oracle makes. These tests drive full inform+transfer episodes over 20
+seeds at 512 and 4,096 ranks: production sparse inform + production
+transfer against packed inform + the Algorithm 2 oracle, and the fused
+driver against :func:`tests.oracles.sparse_inform_oracle`. They require
+exact equality of the knowledge matrix, the per-round sender/message
+accounting, the transferred assignment and the decision counters — plus
+the final RNG state, so the stacks consume the identical stream and
+stay interchangeable mid-episode.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from repro.core.gossip import (
 )
 from repro.core.tempered import TemperedConfig
 from repro.core.transfer import TransferConfig, transfer_stage
+from tests.oracles import sparse_inform_oracle, transfer_stage_oracle
 
 SEEDS = range(20)
 
@@ -38,31 +41,49 @@ def _scenario(n_ranks, n_tasks, seed):
     return assignment, task_loads, loads
 
 
-def _run_stack(knowledge, engine, loads, assignment, task_loads, gossip_cfg, seed):
-    gossip = run_inform_stage(
-        loads,
-        dataclasses.replace(gossip_cfg, knowledge=knowledge),
-        np.random.default_rng(seed + 1),
-    )
+def _inform(inform, loads, gossip_cfg, seed):
+    rng = np.random.default_rng(seed + 1)
+    return inform(loads, gossip_cfg, rng), rng.bit_generator.state
+
+
+def _run_stack(inform, transfer, loads, assignment, task_loads, gossip_cfg, seed):
+    gossip, inform_state = _inform(inform, loads, gossip_cfg, seed)
     moved = np.array(assignment, copy=True)
     rng = np.random.default_rng(seed + 2)
-    stats = transfer_stage(
-        moved, task_loads, gossip, TransferConfig(engine=engine), rng
-    )
-    return gossip, moved, stats, rng.bit_generator.state
+    stats = transfer(moved, task_loads, gossip, None, rng)
+    # The oracle rebuilds the CMF where production updates it in place,
+    # so only the decisions are compared, not the CMF cost counters.
+    decisions = {
+        f.name: getattr(stats, f.name)
+        for f in dataclasses.fields(stats)
+        if f.name not in ("cmf_builds", "cmf_updates")
+    }
+    return (gossip, inform_state), (moved, decisions, rng.bit_generator.state)
 
 
-def _assert_episodes_equal(ref, new):
-    g_ref, a_ref, s_ref, state_ref = ref
-    g_new, a_new, s_new, state_new = new
+def _packed(loads, config, rng):
+    return run_inform_stage(loads, dataclasses.replace(config, knowledge="packed"), rng)
+
+
+def _sparse(loads, config, rng):
+    return run_inform_stage(loads, dataclasses.replace(config, knowledge="sparse"), rng)
+
+
+def _assert_informs_equal(ref, new):
+    (g_ref, state_ref), (g_new, state_new) = ref, new
     np.testing.assert_array_equal(g_new.knowledge.rows, g_ref.knowledge.rows)
     assert g_new.n_messages == g_ref.n_messages
     assert g_new.bytes_sent == g_ref.bytes_sent
     assert g_new.per_round_senders == g_ref.per_round_senders
     assert g_new.per_round_messages == g_ref.per_round_messages
     assert g_new.rounds_run == g_ref.rounds_run
+    assert state_new == state_ref
+
+
+def _assert_transfers_equal(ref, new):
+    (a_ref, s_ref, state_ref), (a_new, s_new, state_new) = ref, new
     np.testing.assert_array_equal(a_new, a_ref)
-    assert dataclasses.asdict(s_new) == dataclasses.asdict(s_ref)
+    assert s_new == s_ref
     assert state_new == state_ref
 
 
@@ -95,13 +116,13 @@ class TestStackEquivalence:
     ):
         for seed in SEEDS:
             assignment, task_loads, loads = _scenario(n_ranks, n_tasks, seed)
-            ref = _run_stack(
-                "packed", "lists", loads, assignment, task_loads, gossip_cfg, seed
-            )
-            new = _run_stack(
-                "sparse", "soa", loads, assignment, task_loads, gossip_cfg, seed
-            )
-            _assert_episodes_equal(ref, new)
+            args = (loads, assignment, task_loads, gossip_cfg, seed)
+            new_inform, new_transfer = _run_stack(_sparse, transfer_stage, *args)
+            ref_inform, ref_transfer = _run_stack(_packed, transfer_stage_oracle, *args)
+            _assert_informs_equal(ref_inform, new_inform)
+            _assert_transfers_equal(ref_transfer, new_transfer)
+            oracle = _inform(sparse_inform_oracle, loads, gossip_cfg, seed)
+            _assert_informs_equal(oracle, new_inform)
 
 
 class TestKnowledgeKnob:
@@ -125,16 +146,10 @@ class TestKnowledgeKnob:
 
     def test_auto_resolution_rule(self):
         # The threshold follows the measured packed/sparse crossover of
-        # the selected driver: the fused driver ("auto"/"numba") wins
-        # from the 8k rung, the Python reference only from 32k.
-        for kernel, threshold in (
-            ("auto", SPARSE_AUTO_MIN_RANKS_FAST),
-            ("numba", SPARSE_AUTO_MIN_RANKS_FAST),
-            ("python", SPARSE_AUTO_MIN_RANKS),
-        ):
-            capped = GossipConfig(max_known=512, kernel=kernel)
-            assert capped.resolve_knowledge(threshold) == "sparse"
-            assert capped.resolve_knowledge(threshold - 1) == "packed"
+        # the fused sparse driver: sparse wins from the 8k rung.
+        capped = GossipConfig(max_known=512)
+        assert capped.resolve_knowledge(SPARSE_AUTO_MIN_RANKS_FAST) == "sparse"
+        assert capped.resolve_knowledge(SPARSE_AUTO_MIN_RANKS_FAST - 1) == "packed"
         # No cap -> shards are O(P^2) too; auto stays packed.
         assert GossipConfig().resolve_knowledge(SPARSE_AUTO_MIN_RANKS) == "packed"
         # Packed-only features keep auto on packed at any rank count.
@@ -166,25 +181,30 @@ class TestKnowledgeKnob:
 
 class TestTemperedPassthrough:
     def test_knobs_reach_stage_configs(self):
-        config = TemperedConfig(
-            knowledge="sparse",
-            max_known=128,
-            transfer_engine="lists",
-            transfer_kernel="numba",
-        )
+        config = TemperedConfig(knowledge="sparse", max_known=128)
         assert config.gossip_config().knowledge == "sparse"
         assert config.gossip_config().max_known == 128
-        assert config.transfer_config().engine == "lists"
-        assert config.transfer_config().kernel == "numba"
 
     def test_defaults_are_auto_soa_python(self):
+        # Knowledge defaults to auto; the transfer and sparse-inform
+        # stages each have one path, so no knob selects between paths.
         config = TemperedConfig()
         assert config.gossip_config().knowledge == "auto"
-        assert config.transfer_config().engine == "soa"
-        assert config.transfer_config().kernel == "python"
+        fields = {
+            f.name
+            for cls in (TemperedConfig, GossipConfig, TransferConfig)
+            for f in dataclasses.fields(cls)
+        }
+        removed = {
+            "kernel",
+            "cmf_update",
+            "gossip_kernel",
+            "transfer_engine",
+            "transfer_kernel",
+        }
+        assert not fields & removed
+        assert "engine" not in {f.name for f in dataclasses.fields(TransferConfig)}
 
     def test_invalid_knowledge_rejected_at_construction(self):
         with pytest.raises(ValueError):
             TemperedConfig(knowledge="bitset")
-        with pytest.raises(ValueError):
-            TemperedConfig(transfer_engine="dataframe")

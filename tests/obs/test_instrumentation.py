@@ -18,6 +18,7 @@ from repro.runtime import AMTRuntime, LBManager
 from repro.sim.engine import Engine
 from repro.sim.process import System
 from repro.workloads import MovingHotspot, paper_analysis_scenario
+from tests.oracles import transfer_stage_oracle
 
 
 class TestCoreStages:
@@ -91,35 +92,32 @@ class TestCoreStages:
 
     def test_incremental_cmf_counters_and_equivalence(self):
         """Incremental CMF maintenance replaces rebuilds with point
-        updates and proposes the same assignment as full rebuilds."""
-        from repro.core.cmf import CMF_UPDATE_INCREMENTAL, CMF_UPDATE_REBUILD
-        from repro.core.transfer import TransferConfig
-
+        updates and proposes the same assignment as the full-rebuild
+        oracle."""
         dist = paper_analysis_scenario(n_tasks=300, n_loaded_ranks=4, n_ranks=32, seed=1)
         loads = dist.rank_loads()
         gossip = run_inform_stage(
             loads, GossipConfig(fanout=4, rounds=6), np.random.default_rng(2)
         )
-        outcomes = {}
-        for mode in (CMF_UPDATE_REBUILD, CMF_UPDATE_INCREMENTAL):
-            assignment = dist.assignment.copy()
-            reg = StatsRegistry()
-            stats = transfer_stage(
-                assignment,
-                dist.task_loads,
-                gossip,
-                TransferConfig(cmf_update=mode),
-                rng=np.random.default_rng(3),
-                registry=reg,
-            )
-            outcomes[mode] = (assignment, stats, reg)
-        rebuild_asg, rebuild_stats, rebuild_reg = outcomes[CMF_UPDATE_REBUILD]
-        incr_asg, incr_stats, incr_reg = outcomes[CMF_UPDATE_INCREMENTAL]
+        rebuild_asg = dist.assignment.copy()
+        rebuild_stats = transfer_stage_oracle(
+            rebuild_asg, dist.task_loads, gossip, rng=np.random.default_rng(3)
+        )
+        incr_asg = dist.assignment.copy()
+        incr_reg = StatsRegistry()
+        incr_stats = transfer_stage(
+            incr_asg,
+            dist.task_loads,
+            gossip,
+            rng=np.random.default_rng(3),
+            registry=incr_reg,
+        )
         assert np.array_equal(rebuild_asg, incr_asg)
         assert rebuild_stats.transfers == incr_stats.transfers
         assert rebuild_stats.rejections == incr_stats.rejections
-        assert rebuild_reg.counter("transfer.cmf_updates") == 0
+        assert rebuild_stats.cmf_updates == 0
         assert incr_reg.counter("transfer.cmf_updates") == incr_stats.cmf_updates > 0
+        assert incr_reg.counter("transfer.cmf_builds") == incr_stats.cmf_builds
         assert incr_stats.cmf_builds < rebuild_stats.cmf_builds
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.gossip import SPARSE_AUTO_MIN_RANKS_FAST, GossipConfig, run_inform_stage
+from repro.core.gossip import SPARSE_AUTO_MIN_RANKS, GossipConfig, run_inform_stage
 from repro.core.knowledge import PackedKnowledgeBitmap, SparseKnowledge
 from repro.core.tempered import TemperedConfig
 from repro.obs import StatsRegistry
@@ -107,9 +107,9 @@ class TestSparseEventLevel:
         loads = loads_two_hot(16)
         explicit = DistributedGossip(System(16), loads, knowledge="sparse").run()
         assert isinstance(explicit.knowledge, SparseKnowledge)
-        # Auto mirrors the phase-level threshold; event-level rank
+        # Auto switches at the scalar-merge crossover; event-level rank
         # counts sit far below it, so auto resolves to packed.
-        assert 16 < SPARSE_AUTO_MIN_RANKS_FAST
+        assert 16 < SPARSE_AUTO_MIN_RANKS
         auto = DistributedGossip(System(16), loads, knowledge="auto").run()
         assert isinstance(auto.knowledge, PackedKnowledgeBitmap)
 
